@@ -1,6 +1,9 @@
 //! A tiny, dependency-free argument parser for the `mcp` tool: positional
 //! subcommand plus `--key value` / `--flag` options, with typed accessors
-//! and helpful errors.
+//! and helpful errors. The parser is strict: an option given twice is an
+//! error, and [`Args::check_options`] rejects any option the command does
+//! not declare, so a misspelled flag never silently falls back to its
+//! default.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -30,6 +33,10 @@ pub enum ArgError {
         value: String,
         expected: &'static str,
     },
+    /// An option the command does not accept.
+    Unknown { command: String, key: String },
+    /// An option given more than once.
+    Repeated(String),
 }
 
 impl fmt::Display for ArgError {
@@ -44,6 +51,13 @@ impl fmt::Display for ArgError {
             } => {
                 write!(f, "--{key} {value:?}: expected {expected}")
             }
+            ArgError::Unknown { command, key } => {
+                write!(
+                    f,
+                    "unknown option --{key} for `mcp {command}`; try `mcp help`"
+                )
+            }
+            ArgError::Repeated(k) => write!(f, "option --{k} given more than once"),
         }
     }
 }
@@ -65,6 +79,9 @@ const FLAGS: &[&str] = &[
     "no-close",
 ];
 
+/// Options every command accepts.
+const GLOBAL: &[&str] = &["jobs", "help"];
+
 impl Args {
     /// Parse a token stream (excluding the program name).
     pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Self, ArgError> {
@@ -72,13 +89,14 @@ impl Args {
         let mut iter = tokens.into_iter().peekable();
         while let Some(tok) = iter.next() {
             if let Some(key) = tok.strip_prefix("--") {
-                if FLAGS.contains(&key) {
-                    args.options.insert(key.to_string(), String::new());
+                let value = if FLAGS.contains(&key) {
+                    String::new()
                 } else {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| ArgError::MissingValue(key.to_string()))?;
-                    args.options.insert(key.to_string(), value);
+                    iter.next()
+                        .ok_or_else(|| ArgError::MissingValue(key.to_string()))?
+                };
+                if args.options.insert(key.to_string(), value).is_some() {
+                    return Err(ArgError::Repeated(key.to_string()));
                 }
             } else if args.command.is_none() {
                 args.command = Some(tok);
@@ -87,6 +105,19 @@ impl Args {
             }
         }
         Ok(args)
+    }
+
+    /// Reject any option that is neither in `accepted` (the command's own
+    /// options, whitespace-separated) nor global (`--jobs`, `--help`).
+    pub fn check_options(&self, accepted: &str) -> Result<(), ArgError> {
+        let known = |k: &str| accepted.split_whitespace().any(|a| a == k) || GLOBAL.contains(&k);
+        match self.options.keys().find(|k| !known(k)) {
+            None => Ok(()),
+            Some(key) => Err(ArgError::Unknown {
+                command: self.command.clone().unwrap_or_default(),
+                key: key.clone(),
+            }),
+        }
     }
 
     /// Whether a boolean flag was given.
@@ -197,6 +228,31 @@ mod tests {
     #[test]
     fn missing_value_detected() {
         assert!(matches!(parse("x --k"), Err(ArgError::MissingValue(_))));
+    }
+
+    #[test]
+    fn repeated_options_are_rejected() {
+        assert_eq!(
+            parse("x --tau 5 --tau 0"),
+            Err(ArgError::Repeated("tau".into()))
+        );
+        assert_eq!(
+            parse("x --json --json"),
+            Err(ArgError::Repeated("json".into()))
+        );
+    }
+
+    #[test]
+    fn undeclared_options_are_rejected() {
+        let a = parse("simulate --k 4 --tua 5 --jobs 2").unwrap();
+        assert_eq!(
+            a.check_options("k tau"),
+            Err(ArgError::Unknown {
+                command: "simulate".into(),
+                key: "tua".into()
+            })
+        );
+        assert_eq!(a.check_options("k tua"), Ok(()));
     }
 
     #[test]

@@ -21,6 +21,9 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The options `mcp blast` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str = "connect cores n universe seed batch no-close";
+
 /// Run `mcp blast`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let endpoint = args.require("connect")?;

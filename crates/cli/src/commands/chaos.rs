@@ -20,6 +20,9 @@ use mcp_chaos::FaultPlan;
 use mcp_oracle::{run_torture, ChaosOptions};
 use std::fmt::Write as _;
 
+/// The options `mcp chaos` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str = "instances bits seed plan";
+
 /// Run `mcp chaos`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let instances: usize = args.parse_or("instances", 8usize)?;

@@ -27,6 +27,9 @@ const DEFAULT_MATRIX: &[&str] = &[
     "fitf",
 ];
 
+/// The options `mcp compare` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str = "trace k tau capacity strategies";
+
 /// Run `mcp compare`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let (workload, cfg) = load_instance(args)?;

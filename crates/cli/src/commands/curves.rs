@@ -9,6 +9,9 @@ use crate::args::Args;
 use mcp_analysis::report::Table;
 use mcp_offline::{lru_curve, opt_curve};
 
+/// The options `mcp curves` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str = "trace max-k core";
+
 /// Run `mcp curves`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let workload = load_trace(args.require("trace")?)?;

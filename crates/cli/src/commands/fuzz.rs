@@ -34,6 +34,9 @@ pub fn parse_seed(text: &str) -> Option<u64> {
     }
 }
 
+/// The options `mcp fuzz` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str = "instances seed corpus families profile chaos chaos-seed";
+
 /// Run `mcp fuzz`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let instances: usize = args.parse_or("instances", 64usize)?;

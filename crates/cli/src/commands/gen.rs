@@ -19,6 +19,10 @@ use mcp_workloads::{
 };
 use std::path::Path;
 
+/// The options `mcp gen` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str =
+    "cores n seed universe alpha set phase k shape size stay rows cols out text";
+
 /// Run `mcp gen`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let kind = args.positional.first().map(String::as_str).ok_or_else(|| {

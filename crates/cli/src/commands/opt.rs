@@ -18,6 +18,9 @@ use crate::args::Args;
 use mcp_core::Budget;
 use mcp_offline::{ftf_dp_governed_with_stats, FtfCheckpoint, FtfOptions, FtfOutcome, FtfResult};
 
+/// The options `mcp opt` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str = "trace k tau schedule max-states stats json deadline checkpoint";
+
 /// Run `mcp opt`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let (workload, cfg) = load_instance(args)?;

@@ -9,6 +9,9 @@ use super::{load_trace, CliError};
 use crate::args::Args;
 use mcp_offline::{optimal_static_partition, PartPolicy};
 
+/// The options `mcp partition` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str = "trace k policy";
+
 /// Run `mcp partition`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let workload = load_trace(args.require("trace")?)?;

@@ -20,6 +20,10 @@ use mcp_offline::{
     PifOutcome,
 };
 
+/// The options `mcp pif` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str =
+    "trace k tau at bounds transitions max-expansions schedule stats json deadline checkpoint";
+
 /// Run `mcp pif`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let (workload, cfg) = load_instance(args)?;

@@ -22,14 +22,11 @@
 use super::{build_strategy, capacity_from, CliError};
 use crate::args::{ArgError, Args};
 use mcp_core::{SimConfig, Workload};
+use mcp_policies::{FAMILIES, OFFLINE_ONLY};
 use mcp_serve::{serve_connection, Discipline, ServeConfig, ServeError, ServeReport, Server};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
-
-/// Strategies whose `begin` reads the full future trace — they cannot
-/// serve a live stream (`mcp_core::online` module docs).
-const OFFLINE_ONLY: &[&str] = &["fitf", "mimic", "partition-opt", "sacrifice"];
 
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -42,6 +39,10 @@ fn serve_err(e: ServeError) -> CliError {
     CliError::Other(e.to_string())
 }
 
+/// The options `mcp serve` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str = "cores k tau strategy discipline depth batch snapshot-ms replay-log \
+                           capacity quiet seed listen n universe";
+
 /// Run `mcp serve`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let cores: usize = args.parse_required("cores")?;
@@ -52,10 +53,16 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let spec = args.get("strategy").unwrap_or("lru");
     let head = spec.split_once(':').map(|(h, _)| h).unwrap_or(spec);
     if OFFLINE_ONLY.contains(&head) {
+        let online_safe: Vec<&str> = FAMILIES
+            .iter()
+            .copied()
+            .filter(|f| !OFFLINE_ONLY.contains(f))
+            .collect();
         return Err(CliError::Other(format!(
             "strategy {spec:?} is offline-only (its begin reads the full future trace) and \
-             cannot serve a live stream; online-safe strategies: lru, fifo, clock, lfu, mru, \
-             fwf, lru2, rand, mark, mark-rand, partition[:sizes]"
+             cannot serve a live stream; online-safe strategies: {} (partition also takes \
+             :sizes)",
+            online_safe.join(", ")
         )));
     }
     // Online strategies ignore the sequences in `begin`, so building

@@ -15,6 +15,9 @@ use crate::args::Args;
 use mcp_analysis::fairness;
 use mcp_analysis::report::Table;
 
+/// The options `mcp simulate` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str = "trace k tau capacity strategy at fairness";
+
 /// Run `mcp simulate`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let (workload, cfg) = load_instance(args)?;

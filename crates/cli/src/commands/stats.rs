@@ -10,6 +10,9 @@ use crate::args::Args;
 use mcp_analysis::report::Table;
 use mcp_workloads::stats::profile;
 
+/// The options `mcp stats` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str = "trace";
+
 /// Run `mcp stats`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let workload = load_trace(args.require("trace")?)?;

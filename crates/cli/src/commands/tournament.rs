@@ -54,6 +54,10 @@ fn check_deadline(budget: &Budget, stage: &str) -> Result<(), CliError> {
         .map_err(|trip| CliError::Partial(format!("tournament stopped during {stage}: {trip}")))
 }
 
+/// The options `mcp tournament` accepts besides `--jobs` and `--help`.
+pub const OPTIONS: &str =
+    "families workloads k tau cores n universe seeds seed capacity json no-crosscheck deadline";
+
 /// Run `mcp tournament`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let budget = budget_from(args)?;

@@ -87,6 +87,43 @@ fn malformed_capacity_spec_exits_2() {
 }
 
 #[test]
+fn unknown_and_repeated_options_exit_2() {
+    let trace = tmp("strict_args.json");
+    let (ok, _, stderr) = mcp(&[
+        "gen",
+        "uniform",
+        "--cores",
+        "2",
+        "--n",
+        "20",
+        "--universe",
+        "8",
+        "--out",
+        &trace,
+    ]);
+    assert!(ok, "gen failed: {stderr}");
+    // A misspelled option used to be ignored (this ran with τ = 0).
+    let (code, stdout, stderr) =
+        mcp_code(&["simulate", "--trace", &trace, "--k", "4", "--tua", "5"]);
+    assert_eq!(code, Some(2), "{stdout}{stderr}");
+    assert!(stderr.contains("unknown option --tua"), "{stderr}");
+    // An option of another command is just as unknown here.
+    let (code, _, stderr) = mcp_code(&["stats", "--trace", &trace, "--k", "4"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option --k"), "{stderr}");
+    // A repeated option used to keep its last value silently.
+    let (code, stdout, stderr) = mcp_code(&[
+        "simulate", "--trace", &trace, "--k", "4", "--tau", "5", "--tau", "0",
+    ]);
+    assert_eq!(code, Some(2), "{stdout}{stderr}");
+    assert!(stderr.contains("--tau given more than once"), "{stderr}");
+    // The same options, spelled right and given once, run.
+    let (code, _, stderr) = mcp_code(&["simulate", "--trace", &trace, "--k", "4", "--tau", "5"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
 fn full_pipeline_over_the_shell() {
     let trace = tmp("pipeline.json");
 

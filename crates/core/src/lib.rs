@@ -13,9 +13,10 @@
 //! * [`sim`] — the discrete-event engine, step-wise or run-to-completion.
 //! * [`tick`] — the scan-based engine it replaced, kept as a
 //!   differential-verification tier.
-//! * [`online`] — the incremental engine behind `mcp serve`: requests
-//!   arrive one at a time and timesteps commit under a safe-horizon rule
-//!   that keeps results bit-identical to the offline run.
+//! * [`online`] — the engine behind `mcp serve`: the event engine of
+//!   [`sim`] over a growable log, where requests arrive one at a time and
+//!   timesteps commit under a safe-horizon rule that keeps results
+//!   bit-identical to the offline run.
 //! * [`events`] — analytics over event traces (effective partitions,
 //!   eviction pressure, outcome tallies).
 //! * [`hash`] — the deterministic fast hasher behind the hot-path

@@ -1,7 +1,7 @@
 //! Incremental (online) simulation: the engine behind `mcp serve`.
 //!
-//! [`OnlineSimulator`] is the tick engine ([`crate::tick::TickSimulator`])
-//! with the workload made *growable*: requests arrive one at a time via
+//! [`OnlineSimulator`] is the event engine ([`crate::sim::Simulator`]'s
+//! core) over a *growable* request log: requests arrive one at a time via
 //! [`OnlineSimulator::push`] and the engine commits timesteps as soon as —
 //! and only when — they can no longer be affected by future arrivals.
 //!
@@ -18,7 +18,13 @@
 //! issue at `ready_j`, strictly after `t`, so it cannot participate in —
 //! or reorder — the step being committed. (Ties block: within a timestep
 //! cores are served in increasing core order, so a late arrival with
-//! `ready_j == t` would have been served in that very step.)
+//! `ready_j == t` would have been served in that very step.) The engine
+//! receives this rule as its commit horizon, the minimum `ready_j` over
+//! starved cores; a capacity-change step commits under the same horizon.
+//!
+//! A starved core has no issue wake-up, exactly like a finished core
+//! offline. A push re-arms it at `ready_j`, which the horizon kept
+//! strictly after every committed step.
 //!
 //! Under this rule the committed trace is, at every moment, a prefix of
 //! the offline run on whatever the final admitted log turns out to be.
@@ -37,14 +43,13 @@
 //! and sacrifice constructions) cannot run online — `begin` here sees
 //! `p` empty sequences. The online-safe families (shared LRU/FIFO/CLOCK/
 //! LFU/MRU/FWF/LRU-2/random/marking and uniform static partitions) ignore
-//! the sequences in `begin`, which the serve replay tests verify
-//! empirically per strategy.
+//! the sequences in `begin`, which the serve replay tests and the fuzz
+//! harness's online leg verify empirically per strategy.
 
-use crate::cache::{Cache, CacheError, CellState, Lookup};
 use crate::capacity::CapacitySchedule;
-use crate::sim::{apply_capacity_step, SimError, SimResult};
+use crate::sim::{Engine, SimError, SimResult};
 use crate::strategy::CacheStrategy;
-use crate::types::{ModelError, PageId, SimConfig, Time, Workload};
+use crate::types::{PageId, SimConfig, Time, Workload};
 use std::fmt;
 
 /// Errors from feeding an [`OnlineSimulator`].
@@ -79,33 +84,14 @@ impl fmt::Display for OnlineError {
 
 impl std::error::Error for OnlineError {}
 
-/// The incremental engine: a [`crate::tick::TickSimulator`] whose workload
-/// grows via [`OnlineSimulator::push`] and commits under the safe-horizon
-/// rule (module docs).
+/// The incremental engine: the event engine over a log that grows via
+/// [`OnlineSimulator::push`], committing under the safe-horizon rule
+/// (module docs).
 pub struct OnlineSimulator<S: CacheStrategy> {
-    cfg: SimConfig,
-    /// The capacity schedule `K(t)` (fixed for constant-K serving).
-    /// Change times are folded into [`Self::next_event_time`]; a change
-    /// step commits under the same safe-horizon rule as a request step
-    /// (a late arrival issuing at or before the change time would alter
-    /// the cache state the shrink observes), and changes pending after
-    /// the final admitted request are dropped exactly as offline.
-    capacity: CapacitySchedule,
-    cap_idx: usize,
-    /// Scratch for shrink evictions (the online engine keeps no trace).
-    voluntary_scratch: Vec<(usize, PageId)>,
-    strategy: S,
-    cache: Cache,
+    engine: Engine<S>,
     /// The admitted log, per core — grows at the tail only.
     seqs: Vec<Vec<PageId>>,
     closed: Vec<bool>,
-    pos: Vec<usize>,
-    ready: Vec<Time>,
-    faults: Vec<u64>,
-    hits: Vec<u64>,
-    fault_times: Vec<Vec<Time>>,
-    makespan: Time,
-    last_time: Time,
 }
 
 impl<S: CacheStrategy> OnlineSimulator<S> {
@@ -130,52 +116,18 @@ impl<S: CacheStrategy> OnlineSimulator<S> {
         num_cores: usize,
         cfg: SimConfig,
         capacity: CapacitySchedule,
-        mut strategy: S,
+        strategy: S,
     ) -> Result<Self, SimError> {
         let empty = Workload::new(vec![Vec::new(); num_cores])?;
-        cfg.validate(&empty)?;
-        if capacity.initial_k() != cfg.cache_size {
-            return Err(ModelError::CapacityMismatch {
-                config_k: cfg.cache_size,
-                initial_k: capacity.initial_k(),
-            }
-            .into());
-        }
-        if capacity.min_k() < num_cores {
-            return Err(ModelError::CapacityBelowCores {
-                min_k: capacity.min_k(),
-                cores: num_cores,
-            }
-            .into());
-        }
-        strategy.begin(&empty, &cfg);
-        let mut cache = Cache::new(capacity.max_k(), num_cores);
-        cache.set_limit(cfg.cache_size);
         Ok(OnlineSimulator {
-            cfg,
-            capacity,
-            cap_idx: 0,
-            voluntary_scratch: Vec::new(),
-            strategy,
-            cache,
+            engine: Engine::new(&empty, cfg, capacity, strategy)?,
             seqs: vec![Vec::new(); num_cores],
             closed: vec![false; num_cores],
-            pos: vec![0; num_cores],
-            ready: vec![1; num_cores],
-            faults: vec![0; num_cores],
-            hits: vec![0; num_cores],
-            fault_times: vec![Vec::new(); num_cores],
-            makespan: 0,
-            last_time: 0,
         })
     }
 
-    /// Number of cores `p`.
-    pub fn num_cores(&self) -> usize {
-        self.seqs.len()
-    }
-
     /// Admit one request at the tail of `core`'s sequence.
+    #[inline]
     pub fn push(&mut self, core: usize, page: PageId) -> Result<(), OnlineError> {
         if core >= self.seqs.len() {
             return Err(OnlineError::UnknownCore {
@@ -185,6 +137,9 @@ impl<S: CacheStrategy> OnlineSimulator<S> {
         }
         if self.closed[core] {
             return Err(OnlineError::CoreClosed { core });
+        }
+        if self.engine.pos[core] == self.seqs[core].len() {
+            self.engine.arm(core);
         }
         self.seqs[core].push(page);
         Ok(())
@@ -213,36 +168,36 @@ impl<S: CacheStrategy> OnlineSimulator<S> {
         self.closed[core]
     }
 
-    /// Requests served so far, per core (`pos` in tick-engine terms).
+    /// Requests served so far, per core.
     pub fn positions(&self) -> &[usize] {
-        &self.pos
+        &self.engine.pos
     }
 
     /// Time at which each core's next request issues.
     pub fn ready_times(&self) -> &[Time] {
-        &self.ready
+        &self.engine.ready
     }
 
     /// Faults so far, per core.
     pub fn faults(&self) -> &[u64] {
-        &self.faults
+        &self.engine.faults
     }
 
     /// Hits so far, per core.
     pub fn hits(&self) -> &[u64] {
-        &self.hits
+        &self.engine.hits
     }
 
     /// Completion time of the last request served so far.
     pub fn makespan(&self) -> Time {
-        self.makespan
+        self.engine.makespan
     }
 
     /// Admitted-but-unserved requests, total.
     pub fn backlog(&self) -> usize {
         self.seqs
             .iter()
-            .zip(&self.pos)
+            .zip(&self.engine.pos)
             .map(|(s, &p)| s.len() - p)
             .sum()
     }
@@ -254,41 +209,12 @@ impl<S: CacheStrategy> OnlineSimulator<S> {
 
     /// `true` once every core is closed and every admitted request served.
     pub fn finished(&self) -> bool {
-        self.closed.iter().all(|&c| c)
-            && self.seqs.iter().zip(&self.pos).all(|(s, &p)| p >= s.len())
+        self.closed.iter().all(|&c| c) && self.backlog() == 0
     }
 
-    /// The candidate next timestep over *admitted* unserved requests, with
-    /// the same voluntary-time override as the offline engines.
-    fn next_event_time(&self) -> Option<Time> {
-        let next_request = (0..self.seqs.len())
-            .filter(|&j| self.pos[j] < self.seqs[j].len())
-            .map(|j| self.ready[j])
-            .min()?;
-        let mut t = next_request;
-        if let Some(vt) = self.strategy.next_voluntary_time() {
-            if vt > self.last_time && vt < t {
-                t = vt;
-            }
-        }
-        // A pending capacity change only becomes an event once some
-        // admitted request remains unserved (the `min()?` above): that
-        // mirrors the offline engines, where post-final changes are
-        // dropped, and keeps the horizon rule in charge of when the
-        // change step may commit.
-        if let Some((ct, _)) = self.capacity.next_change_after(self.last_time) {
-            if ct < t {
-                t = ct;
-            }
-        }
-        Some(t)
-    }
-
-    /// Is committing a step at `t` unsafe because a starved open core
-    /// could still receive a request issuing at or before `t`?
-    fn horizon_blocked(&self, t: Time) -> bool {
-        (0..self.seqs.len())
-            .any(|j| !self.closed[j] && self.pos[j] >= self.seqs[j].len() && self.ready[j] <= t)
+    /// Whether `core` is starved: open, with every admitted request served.
+    fn starved(&self, core: usize) -> bool {
+        !self.closed[core] && self.engine.pos[core] == self.seqs[core].len()
     }
 
     /// Commit every step the safe horizon allows. Returns the number of
@@ -296,100 +222,20 @@ impl<S: CacheStrategy> OnlineSimulator<S> {
     /// starved cores) means more input — or closes — are needed before
     /// model time can progress.
     pub fn advance(&mut self) -> Result<usize, SimError> {
-        let mut served = 0;
-        loop {
-            let Some(t) = self.next_event_time() else {
-                return Ok(served);
-            };
-            if self.horizon_blocked(t) {
-                return Ok(served);
-            }
-            served += self.step_at(t)?;
-        }
-    }
-
-    /// One committed timestep at `t` — a faithful transcription of the
-    /// tick engine's `step_inner` over the admitted log. Returns the
-    /// number of requests served at `t`.
-    fn step_at(&mut self, t: Time) -> Result<usize, SimError> {
-        self.last_time = t;
-        self.cache.promote_due(t);
-
-        // Pin every page requested this parallel step before the strategy
-        // gets to evict voluntarily (R(x) ⊆ C', Algorithms 1 and 2).
-        for core in 0..self.seqs.len() {
-            if self.pos[core] < self.seqs[core].len() && self.ready[core] == t {
-                self.cache.pin_page(self.seqs[core][self.pos[core]]);
-            }
-        }
-
-        // Capacity changes due at `t` (same placement as offline: after
-        // pins, before strategy voluntary evictions).
-        self.voluntary_scratch.clear();
-        apply_capacity_step(
-            t,
-            &self.capacity,
-            &mut self.cap_idx,
-            &mut self.cache,
-            &mut self.strategy,
-            &mut self.voluntary_scratch,
-        )?;
-
-        for cell in self.strategy.voluntary_evictions(t, &self.cache) {
-            if !matches!(self.cache.cell(cell), CellState::Present(_)) {
-                return Err(SimError::BadVoluntaryEviction { cell });
-            }
-            let page = self.cache.evict(cell)?;
-            self.strategy.on_evict(page, cell);
-        }
-
-        let mut served = 0;
-        for core in 0..self.seqs.len() {
-            if self.pos[core] >= self.seqs[core].len() || self.ready[core] != t {
-                continue;
-            }
-            let page = self.seqs[core][self.pos[core]];
-            match self.cache.lookup(page) {
-                Lookup::Present { .. } => {
-                    self.hits[core] += 1;
-                    self.strategy.on_hit(core, page, t, &self.cache);
-                    self.ready[core] = t + 1;
-                    self.makespan = self.makespan.max(t);
-                }
-                Lookup::Fetching { .. } => {
-                    self.faults[core] += 1;
-                    self.fault_times[core].push(t);
-                    self.strategy
-                        .on_shared_fetch_miss(core, page, t, &self.cache);
-                    self.ready[core] = t + self.cfg.tau + 1;
-                    self.makespan = self.makespan.max(t + self.cfg.tau);
-                }
-                Lookup::Absent => {
-                    self.faults[core] += 1;
-                    self.fault_times[core].push(t);
-                    let cell = self.strategy.choose_cell(core, page, t, &self.cache);
-                    match self.cache.cell(cell) {
-                        CellState::Present(_) => {
-                            let victim = self.cache.evict(cell)?;
-                            self.strategy.on_evict(victim, cell);
-                        }
-                        CellState::Empty => {}
-                        CellState::Fetching { .. } => {
-                            return Err(SimError::Cache(CacheError::EvictFetching { cell }));
-                        }
-                    }
-                    self.cache
-                        .start_fetch(cell, page, core, t + self.cfg.tau + 1)?;
-                    self.strategy.on_fault(core, page, t, cell, &self.cache);
-                    self.ready[core] = t + self.cfg.tau + 1;
-                    self.makespan = self.makespan.max(t + self.cfg.tau);
+        let mut horizon = (0..self.seqs.len())
+            .filter(|&j| self.starved(j))
+            .map(|j| self.engine.ready[j])
+            .min()
+            .unwrap_or(Time::MAX);
+        let backlog = self.backlog();
+        while self.engine.step::<false>(&self.seqs, horizon)?.is_some() {
+            for &core in &self.engine.ran_dry {
+                if !self.closed[core as usize] {
+                    horizon = horizon.min(self.engine.ready[core as usize]);
                 }
             }
-            self.pos[core] += 1;
-            served += 1;
         }
-        self.cache.clear_pins();
-        Ok(served)
+        Ok(backlog - self.backlog())
     }
 
     /// A copy of the admitted log as a [`Workload`] — the replay trace.
@@ -403,23 +249,17 @@ impl<S: CacheStrategy> OnlineSimulator<S> {
     /// replay contract should `close_all` + `advance` first.
     pub fn finish(self) -> (SimResult, Workload) {
         let log = Workload::new(self.seqs).expect("p >= 1 by construction");
-        (
-            SimResult {
-                faults: self.faults,
-                hits: self.hits,
-                makespan: self.makespan,
-                fault_times: self.fault_times,
-                config: self.cfg,
-            },
-            log,
-        )
+        (self.engine.into_result(), log)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Cache;
     use crate::sim::simulate;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Evict the lowest-indexed evictable cell.
     struct FirstFit;
@@ -512,6 +352,47 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Service callbacks as `(t, core, kind)`: `h`it, `f`ault, `s`hared
+    /// fetch miss.
+    type Calls = Rc<RefCell<Vec<(Time, usize, char)>>>;
+
+    /// [`FirstFit`] that records every service callback, so a test can
+    /// compare the online service order with the offline one.
+    struct Recorder {
+        calls: Calls,
+    }
+    impl Recorder {
+        fn new(calls: &Calls) -> Self {
+            Recorder {
+                calls: Rc::clone(calls),
+            }
+        }
+    }
+    impl CacheStrategy for Recorder {
+        fn name(&self) -> String {
+            "Recorder".into()
+        }
+        fn on_hit(&mut self, core: usize, _p: PageId, t: Time, _cache: &Cache) {
+            self.calls.borrow_mut().push((t, core, 'h'));
+        }
+        fn on_fault(&mut self, core: usize, _p: PageId, t: Time, _cell: usize, _cache: &Cache) {
+            self.calls.borrow_mut().push((t, core, 'f'));
+        }
+        fn on_shared_fetch_miss(&mut self, core: usize, _p: PageId, t: Time, _cache: &Cache) {
+            self.calls.borrow_mut().push((t, core, 's'));
+        }
+        fn choose_cell(&mut self, c: usize, p: PageId, t: Time, cache: &Cache) -> usize {
+            FirstFit.choose_cell(c, p, t, cache)
+        }
+    }
+
+    /// The offline [`Recorder`] run: its result and callback sequence.
+    fn recorded_offline(workload: &Workload, cfg: SimConfig) -> (SimResult, Calls) {
+        let calls = Calls::default();
+        let result = simulate(workload, cfg, Recorder::new(&calls)).unwrap();
+        (result, calls)
     }
 
     /// Feed `workload` into an online engine under a seeded interleaving
@@ -648,9 +529,9 @@ mod tests {
             eng.push(1, wl.sequence(1)[i]).unwrap();
             eng.advance().unwrap();
             for core in 0..2 {
-                let n = eng.fault_times[core].len();
+                let n = eng.engine.fault_times[core].len();
                 assert_eq!(
-                    eng.fault_times[core],
+                    eng.engine.fault_times[core],
                     expect.fault_times[core][..n],
                     "fault-time prefix diverged at i={i} core={core}"
                 );
@@ -658,6 +539,97 @@ mod tests {
         }
         eng.close_all();
         eng.advance().unwrap();
+        let (got, _) = eng.finish();
+        assert_eq!(got, expect);
+
+        // A push to a starved core whose ready time is the last committed
+        // step + 1, while the other cores wait in the deferred list: the
+        // re-armed core must merge into that step in core order.
+        let wl = w(&[&[1, 3, 2, 4], &[5, 3, 6], &[7, 3, 8, 9]]);
+        let cfg = SimConfig::new(6, 0);
+        let (expect, calls) = recorded_offline(&wl, cfg);
+        let online_calls = Rc::default();
+        let mut eng = OnlineSimulator::new(3, cfg, Recorder::new(&online_calls)).unwrap();
+        for j in [0, 2] {
+            for &page in wl.sequence(j) {
+                eng.push(j, page).unwrap();
+            }
+        }
+        eng.push(1, wl.sequence(1)[0]).unwrap();
+        // t = 1 commits; core 1 then starves with ready = 2, which blocks
+        // t = 2 while cores 0 and 2 (τ = 0) sit deferred for t = 2.
+        assert_eq!(eng.advance().unwrap(), 3);
+        assert_eq!(eng.ready_times(), &[2, 2, 2]);
+        assert_eq!(eng.backlog(), 6);
+        for &page in &wl.sequence(1)[1..] {
+            eng.push(1, page).unwrap();
+        }
+        eng.close_all();
+        eng.advance().unwrap();
+        let (got, _) = eng.finish();
+        assert_eq!(got, expect);
+        // At t = 2 all three cores request page 3: core 0 faults, cores 1
+        // and 2 take shared-fetch misses, in that order.
+        assert!(calls.borrow().contains(&(2, 1, 's')));
+        assert_eq!(*online_calls.borrow(), *calls.borrow());
+
+        // A push after a fault on the core's last admitted request: that
+        // fetch's completion went through the completions heap and must
+        // still promote the page before the new request issues.
+        let wl = w(&[&[1, 1, 2, 1], &[2, 3, 2]]);
+        let cfg = SimConfig::new(3, 3);
+        let (expect, calls) = recorded_offline(&wl, cfg);
+        let online_calls = Rc::default();
+        let mut eng = OnlineSimulator::new(2, cfg, Recorder::new(&online_calls)).unwrap();
+        for &page in wl.sequence(1) {
+            eng.push(1, page).unwrap();
+        }
+        eng.close(1).unwrap();
+        for i in 0..wl.len(0) {
+            eng.push(0, wl.sequence(0)[i]).unwrap();
+            eng.advance().unwrap();
+            // Each advance serves core 0's only admitted request, so its
+            // faults all start on the last admitted request.
+            assert_eq!(eng.positions()[0], i + 1);
+            for core in 0..2 {
+                let n = eng.faults()[core] as usize;
+                assert_eq!(
+                    eng.engine.fault_times[core],
+                    expect.fault_times[core][..n],
+                    "fault-time prefix diverged at i={i} core={core}"
+                );
+            }
+        }
+        eng.close_all();
+        eng.advance().unwrap();
+        let (got, _) = eng.finish();
+        assert_eq!(got, expect);
+        // Core 0's second request (page 1, faulted at t = 1) hits at 5.
+        assert!(calls.borrow().contains(&(5, 0, 'h')));
+        assert_eq!(*online_calls.borrow(), *calls.borrow());
+
+        // A pending capacity change while every open core is starved: the
+        // change step must wait for the horizon like a request step.
+        let wl = w(&[&[1, 2, 1], &[3, 4]]);
+        let cfg = SimConfig::new(4, 0);
+        let cap: CapacitySchedule = "4,2@3".parse().unwrap();
+        let expect = crate::sim::simulate_with_capacity(&wl, cfg, cap.clone(), FirstFit).unwrap();
+        let mut eng = OnlineSimulator::with_capacity(2, cfg, cap, FirstFit).unwrap();
+        for j in 0..2 {
+            for &page in &wl.sequence(j)[..2] {
+                eng.push(j, page).unwrap();
+            }
+        }
+        assert_eq!(eng.advance().unwrap(), 4);
+        // Both cores starved at ready = 3: the drop at t = 3 is pending.
+        assert_eq!(eng.ready_times(), &[3, 3]);
+        assert_eq!(eng.engine.cache.occupied(), 4);
+        eng.push(0, wl.sequence(0)[2]).unwrap();
+        assert_eq!(eng.advance().unwrap(), 0, "core 1 still blocks t = 3");
+        assert_eq!(eng.engine.cache.occupied(), 4);
+        eng.close_all();
+        assert_eq!(eng.advance().unwrap(), 1);
+        assert!(eng.engine.cache.occupied() <= 2);
         let (got, _) = eng.finish();
         assert_eq!(got, expect);
     }
@@ -750,7 +722,7 @@ mod tests {
         eng.close(1).unwrap();
         assert_eq!(eng.advance().unwrap(), 3);
         // After the drop to 2, only two cells may be occupied.
-        assert!(eng.cache.occupied() <= 2);
+        assert!(eng.engine.cache.occupied() <= 2);
     }
 
     #[test]

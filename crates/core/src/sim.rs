@@ -33,15 +33,17 @@
 //! rather than a per-step core scan (DESIGN §11). Wake-ups live in
 //! min-queues keyed by `(next_time, component_id)`:
 //!
-//! * **request-issue events** — exactly one live entry per unfinished
-//!   core, keyed by the core's clock (the time its next request issues);
+//! * **request-issue events** — exactly one live entry per core with an
+//!   unserved request, keyed by the core's clock (the time its next
+//!   request issues);
 //! * **fetch-completion events** — drained at the start of each served
 //!   step so every fetch due by `t` reads as `Present` before pins,
 //!   voluntary evictions, and service (exactly the old lazy
 //!   `promote_due`). A fetch completes exactly when its core's next
-//!   request issues, so for non-final requests the completion rides the
-//!   core's own issue wake-up (`pending_promote`); only fetches started
-//!   by a core's final request get their own heap entry;
+//!   request issues, so when that request is already in the log the
+//!   completion rides the core's own issue wake-up (`pending_promote`);
+//!   only fetches started by a core's last logged request get their own
+//!   heap entry;
 //! * **strategy-declared voluntary times** — consulted from
 //!   [`crate::CacheStrategy::next_voluntary_time`] before each step (the
 //!   declaration may move after every step, so it is re-read rather than
@@ -57,6 +59,10 @@
 //! `O(events · log p)` instead of `O(steps · p)` — on sparse or large-τ
 //! workloads, where most timesteps are idle and served steps touch one
 //! core, that is the difference between `O(n·p)` and `O(n·log p)` total.
+//!
+//! [`Simulator`] and [`crate::online::OnlineSimulator`] share this one
+//! step loop (a crate-private core stepping over a borrowed request log
+//! under a commit horizon), so offline and served runs cannot drift.
 
 use crate::cache::{Cache, CacheError, Lookup};
 use crate::capacity::CapacitySchedule;
@@ -212,34 +218,33 @@ impl SimResult {
     }
 }
 
-/// A stepping simulator: drive it with [`Simulator::step`] or run it to
-/// completion with [`Simulator::run`] / the [`simulate`] convenience.
-///
-/// This is the event-driven engine (see the module docs): per-core clocks
-/// live in a min-queue of `(next_time, core)` wake-ups, fetch completions
-/// are first-class events, and idle time is skipped outright.
-pub struct Simulator<'w, S: CacheStrategy> {
-    workload: &'w Workload,
+/// The event engine minus the request log: it steps over a borrowed
+/// `&[Vec<PageId>]` log under a commit horizon — `Time::MAX` for
+/// [`Simulator`], the safe-horizon rule for
+/// [`crate::online::OnlineSimulator`], whose log grows at the tail
+/// between steps.
+pub(crate) struct Engine<S: CacheStrategy> {
     cfg: SimConfig,
     /// The capacity schedule `K(t)` ([`CapacitySchedule::fixed`] for
     /// constant-K runs — then `cap_idx` never advances and every
     /// capacity branch is a no-op, so the fixed path is the pre-capacity
     /// engine verbatim). Capacity-change times are first-class events:
-    /// [`Simulator::next_event_time_with`] mins the next change into the
+    /// [`Engine::next_event_time_with`] mins the next change into the
     /// step time, so idle-gap skipping stays exact and shrink evictions
     /// land exactly at the change time.
     capacity: CapacitySchedule,
     /// Cursor into `capacity.changes()`: changes before it are applied.
     cap_idx: usize,
     strategy: S,
-    cache: Cache,
-    pos: Vec<usize>,
-    ready: Vec<Time>,
+    pub(crate) cache: Cache,
+    pub(crate) pos: Vec<usize>,
+    pub(crate) ready: Vec<Time>,
     /// Request-issue wake-ups, keyed [`pack`]`(issue_time, core)`.
-    /// Invariant: exactly one live entry per unfinished core — an entry
-    /// is popped only when its core is served at that time, and serving
-    /// pushes the core's next wake-up (if any remain) — so no entry is
-    /// ever stale.
+    /// Invariant: exactly one live entry per core with an unserved
+    /// request — an entry is popped only when its core is served at that
+    /// time, and serving pushes the core's next wake-up (if its next
+    /// request is in the log; otherwise [`Engine::arm`] pushes it when
+    /// the request arrives) — so no entry is ever stale.
     issue: BinaryHeap<Reverse<u128>>,
     /// Cores whose next request issues at exactly `last_time + 1` — the
     /// dense fast path. A hit (and any fault when `τ = 0`) re-arms for
@@ -248,60 +253,51 @@ pub struct Simulator<'w, S: CacheStrategy> {
     /// such cores are appended here (in serve order, hence ascending core
     /// order) and merged with the heap's due entries at the next step.
     /// Invariant: non-empty only until the next served step, which (see
-    /// [`Simulator::next_event_time_with`]) is then exactly
+    /// [`Engine::next_event_time_with`]) is then exactly
     /// `last_time + 1` and drains it entirely.
     issue_next: Vec<u32>,
     /// Fetch-completion wake-ups, keyed [`pack`]`(ready_at, cell)` — one
-    /// per in-flight fetch started by a core's *final* request (all
+    /// per in-flight fetch started by a core's last *logged* request (all
     /// others ride the core's own issue wake-up, see
-    /// [`Simulator::pending_promote`]). A fetching cell cannot be
+    /// [`Engine::pending_promote`]). A fetching cell cannot be
     /// evicted, and a cell is re-fetched only after its previous
     /// completion was drained (residency precedes eviction), so no entry
     /// is ever stale here either.
     completions: BinaryHeap<Reverse<u128>>,
-    /// `pending_promote[core]` is the cell whose fetch — started by this
-    /// core's *non-final* request — completes exactly when the core's
-    /// next request issues (`u32::MAX` when none). Such a completion
-    /// needs no heap entry: the core is in the due set of the first
-    /// served step at or past its ready time (that is what its issue
-    /// wake-up means), which is precisely the step where the heap drain
-    /// would have promoted the cell, so promoting when the core enters
-    /// the due set — still ahead of pins, voluntary evictions, and
-    /// service — is observably identical. Only a fetch started by a
-    /// core's final request (no future wake-up) goes through the
-    /// [`Simulator::completions`] heap.
+    /// `pending_promote[core]` is the cell whose fetch — started by a
+    /// request of this core whose successor is already in the log —
+    /// completes exactly when the core's next request issues (`u32::MAX`
+    /// when none). Such a completion needs no heap entry: the core is in
+    /// the due set of the first served step at or past its ready time
+    /// (that is what its issue wake-up means), which is precisely the
+    /// step where the heap drain would have promoted the cell, so
+    /// promoting when the core enters the due set — still ahead of pins,
+    /// voluntary evictions, and service — is observably identical. A
+    /// fetch started by a core's last logged request (no wake-up yet)
+    /// goes through the [`Engine::completions`] heap, which promotes it
+    /// at the same step whether or not a successor arrives later.
     pending_promote: Vec<u32>,
-    faults: Vec<u64>,
-    hits: Vec<u64>,
-    fault_times: Vec<Vec<Time>>,
-    makespan: Time,
+    pub(crate) faults: Vec<u64>,
+    pub(crate) hits: Vec<u64>,
+    pub(crate) fault_times: Vec<Vec<Time>>,
+    pub(crate) makespan: Time,
     last_time: Time,
-    // Persistent per-step buffers so the hot path ([`Simulator::run`])
-    // allocates nothing per timestep.
+    // Persistent per-step buffers so the hot path allocates nothing per
+    // timestep; `served_buf` is filled only by traced steps.
     voluntary_buf: Vec<(usize, PageId)>,
     served_buf: Vec<Served>,
     due_buf: Vec<u32>,
+    /// Cores that served their last logged request in the last step:
+    /// finished offline; starved or finished online.
+    pub(crate) ran_dry: Vec<u32>,
 }
 
-impl<'w, S: CacheStrategy> Simulator<'w, S> {
-    /// Create a simulator; calls the strategy's [`CacheStrategy::begin`].
-    pub fn new(workload: &'w Workload, cfg: SimConfig, strategy: S) -> Result<Self, SimError> {
-        Simulator::with_capacity(
-            workload,
-            cfg,
-            CapacitySchedule::fixed(cfg.cache_size),
-            strategy,
-        )
-    }
-
-    /// Create a simulator whose cache capacity follows `capacity`. The
-    /// schedule's initial capacity must equal `cfg.cache_size` and its
-    /// minimum must stay at or above the core count; the cache is
-    /// allocated at the schedule's maximum and its limit moved at each
-    /// change. [`CapacitySchedule::fixed`]`(cfg.cache_size)` reproduces
-    /// [`Simulator::new`] exactly.
-    pub fn with_capacity(
-        workload: &'w Workload,
+impl<S: CacheStrategy> Engine<S> {
+    /// Validate `cfg` and `capacity` against `workload` (see
+    /// [`Simulator::with_capacity`]), call the strategy's
+    /// [`CacheStrategy::begin`] on it, and arm every non-empty core.
+    pub(crate) fn new(
+        workload: &Workload,
         cfg: SimConfig,
         capacity: CapacitySchedule,
         mut strategy: S,
@@ -323,16 +319,9 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
         }
         strategy.begin(workload, &cfg);
         let p = workload.num_cores();
-        let mut issue = BinaryHeap::with_capacity(p);
-        for core in 0..p {
-            if workload.len(core) > 0 {
-                issue.push(Reverse(pack(1, core as u32)));
-            }
-        }
         let mut cache = Cache::new(capacity.max_k(), p);
         cache.set_limit(cfg.cache_size);
-        Ok(Simulator {
-            workload,
+        let mut engine = Engine {
             cfg,
             capacity,
             cap_idx: 0,
@@ -340,7 +329,7 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
             cache,
             pos: vec![0; p],
             ready: vec![1; p],
-            issue,
+            issue: BinaryHeap::with_capacity(p),
             issue_next: Vec::with_capacity(p),
             completions: BinaryHeap::with_capacity(p),
             pending_promote: vec![u32::MAX; p],
@@ -352,49 +341,43 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
             voluntary_buf: Vec::new(),
             served_buf: Vec::with_capacity(p),
             due_buf: Vec::with_capacity(p),
-        })
+            ran_dry: Vec::with_capacity(p),
+        };
+        for core in 0..p {
+            if workload.len(core) > 0 {
+                engine.arm(core);
+            }
+        }
+        Ok(engine)
     }
 
-    /// The shared cache, for inspection between steps.
-    pub fn cache(&self) -> &Cache {
-        &self.cache
-    }
-
-    /// Next request index of each core.
-    pub fn positions(&self) -> &[usize] {
-        &self.pos
-    }
-
-    /// Time at which each core's next request issues.
-    pub fn ready_times(&self) -> &[Time] {
-        &self.ready
-    }
-
-    /// `true` once every sequence has been fully served.
-    pub fn finished(&self) -> bool {
-        self.pos
-            .iter()
-            .zip(self.workload.sequences())
-            .all(|(&pos, seq)| pos >= seq.len())
+    /// Queue `core`'s issue wake-up at its ready time, when its next
+    /// request enters the log after every earlier one was served. That
+    /// time is past every served step: `t = 1` at the start, and online
+    /// the commit horizon held every step below it.
+    pub(crate) fn arm(&mut self, core: usize) {
+        debug_assert!(self.ready[core] > self.last_time);
+        self.issue
+            .push(Reverse(pack(self.ready[core], core as u32)));
     }
 
     /// The next timestep to serve: the earliest queued request-issue
     /// wake-up, unless the strategy declares an earlier non-stale
     /// voluntary time. `heap_min` is the already-peeked issue-heap top
-    /// (an `O(1)` peek — no core scan), passed in so
-    /// [`Simulator::step_inner`] reads the heap top once per step and
-    /// reuses it for due-event collection.
+    /// (an `O(1)` peek — no core scan), passed in so [`Engine::step`]
+    /// reads the heap top once per step and reuses it for due-event
+    /// collection.
     ///
     /// This implements the boundary contract documented on
     /// [`CacheStrategy::next_voluntary_time`]: stale declarations (at or
     /// before the last served timestep) are ignored so each step strictly
     /// advances time; a declaration coinciding with `next_request` folds
-    /// into that step; and once the issue queue is empty (every sequence
-    /// finished) any declaration is dropped and the run ends.
+    /// into that step; and once the issue queue is empty (every logged
+    /// request served) any declaration is dropped and the run ends.
     fn next_event_time_with(&self, heap_min: Option<u128>) -> Option<Time> {
         // A deferred core is due at `last_time + 1`, which no queued heap
-        // entry beats (every entry's time is strictly past its push step),
-        // so the deferred list short-circuits the peek.
+        // entry beats (every entry's time is strictly past the last served
+        // step), so the deferred list short-circuits the peek.
         let next_request = if self.issue_next.is_empty() {
             key_time(heap_min?)
         } else {
@@ -409,7 +392,7 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
         // A capacity change is a first-class event: serve a (possibly
         // quiet) step at the change time so shrink evictions land exactly
         // there. The `heap_min?` above already dropped post-final changes:
-        // once every sequence is finished the run ends.
+        // once every logged request is served the run ends.
         if let Some((ct, _)) = self.capacity.next_change_after(self.last_time) {
             if ct < t {
                 t = ct;
@@ -418,29 +401,27 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
         Some(t)
     }
 
-    /// Serve one timestep (the next time at which any request is due).
-    /// Returns `Ok(None)` when every sequence is finished.
-    pub fn step(&mut self) -> Result<Option<StepReport>, SimError> {
-        match self.step_inner()? {
-            None => Ok(None),
-            Some(t) => Ok(Some(StepReport {
-                time: t,
-                voluntary: std::mem::take(&mut self.voluntary_buf),
-                served: std::mem::take(&mut self.served_buf),
-            })),
-        }
-    }
-
-    /// Serve one timestep into the persistent buffers, returning the time
-    /// served (`None` once every sequence is finished). [`Simulator::run`]
-    /// drives this directly, so the hot path performs no per-step
-    /// allocation; [`Simulator::step`] wraps the buffers into a
-    /// [`StepReport`] for callers that want the trace.
-    fn step_inner(&mut self) -> Result<Option<Time>, SimError> {
+    /// Serve the next timestep of `log` into the persistent buffers,
+    /// returning the time served. Returns `None`, changing nothing, when
+    /// every logged request is served or when the next timestep is not
+    /// before `horizon` (the commit horizon: `Time::MAX` offline, the
+    /// safe-horizon rule online, where ties block). `TRACE` records the
+    /// served requests for a [`StepReport`]; runs that only need the
+    /// result skip it. Always inlined, so each caller's loop compiles
+    /// as its own hot path.
+    #[inline(always)]
+    pub(crate) fn step<const TRACE: bool>(
+        &mut self,
+        log: &[Vec<PageId>],
+        horizon: Time,
+    ) -> Result<Option<Time>, SimError> {
         let heap_min = self.issue.peek().map(|&Reverse(key)| key);
         let Some(t) = self.next_event_time_with(heap_min) else {
             return Ok(None);
         };
+        if t >= horizon {
+            return Ok(None);
+        }
         self.last_time = t;
         // Fetch completions are first-class events: drain every completion
         // due by `t` so the strategy and the serve loop observe those
@@ -455,6 +436,7 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
         }
         self.voluntary_buf.clear();
         self.served_buf.clear();
+        self.ran_dry.clear();
 
         // Collect this step's request-issue events. Every queued heap
         // entry has time ≥ t (ready times are always pushed strictly in
@@ -500,7 +482,7 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
             let core = core as usize;
             // Entering the due set consumes the core's own completed
             // fetch, if one was riding its wake-up (see
-            // [`Simulator::pending_promote`]); promotion order across
+            // [`Engine::pending_promote`]); promotion order across
             // cells is immaterial and pinning does not read cell states,
             // so interleaving with the pin loop is unobservable.
             let pending = self.pending_promote[core];
@@ -508,8 +490,7 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
                 self.cache.promote_cell(pending as usize, t);
                 self.pending_promote[core] = u32::MAX;
             }
-            self.cache
-                .pin_page(self.workload.sequence(core)[self.pos[core]]);
+            self.cache.pin_page(log[core][self.pos[core]]);
         }
 
         // Capacity changes due at `t` apply after pinning (the pages
@@ -541,11 +522,11 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
         // is the due list verbatim (same cores, same order) and is
         // installed by one swap after the loop; only heap-bound re-arms
         // (ready later than `t + 1`) are pushed inline, and the mixed /
-        // finished cases rebuild the deferred list by filtering `due`.
+        // exhausted cases rebuild the deferred list by filtering `due`.
         let mut all_deferred = true;
         for &core in &due {
             let core = core as usize;
-            let seq = self.workload.sequence(core);
+            let seq = &log[core];
             let index = self.pos[core];
             let page = seq[index];
             let outcome = match self.cache.lookup(page) {
@@ -614,13 +595,16 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
                 }
             } else {
                 all_deferred = false;
+                self.ran_dry.push(core as u32);
             }
-            self.served_buf.push(Served {
-                core,
-                index,
-                page,
-                outcome,
-            });
+            if TRACE {
+                self.served_buf.push(Served {
+                    core,
+                    index,
+                    page,
+                    outcome,
+                });
+            }
         }
         if all_deferred {
             // `issue_next` was drained during due collection, so the swap
@@ -629,7 +613,7 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
         } else {
             for &core in &due {
                 let c = core as usize;
-                if self.pos[c] < self.workload.len(c) && self.ready[c] == t + 1 {
+                if self.pos[c] < log[c].len() && self.ready[c] == t + 1 {
                     self.issue_next.push(core);
                 }
             }
@@ -639,23 +623,8 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
         Ok(Some(t))
     }
 
-    /// Run to completion and return the aggregate result.
-    pub fn run(mut self) -> Result<SimResult, SimError> {
-        while self.step_inner()?.is_some() {}
-        Ok(self.into_result())
-    }
-
-    /// Run to completion, additionally collecting every [`StepReport`]
-    /// (one per non-empty timestep) — the full event trace.
-    pub fn run_with_trace(mut self) -> Result<(SimResult, Vec<StepReport>), SimError> {
-        let mut trace = Vec::new();
-        while let Some(report) = self.step()? {
-            trace.push(report);
-        }
-        Ok((self.into_result(), trace))
-    }
-
-    fn into_result(self) -> SimResult {
+    /// The aggregate result so far.
+    pub(crate) fn into_result(self) -> SimResult {
         SimResult {
             faults: self.faults,
             hits: self.hits,
@@ -666,9 +635,109 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
     }
 }
 
+/// A stepping simulator: drive it with [`Simulator::step`] or run it to
+/// completion with [`Simulator::run`] / the [`simulate`] convenience.
+///
+/// This is the event-driven engine (see the module docs) over a fixed
+/// workload: per-core clocks live in a min-queue of `(next_time, core)`
+/// wake-ups, fetch completions are first-class events, and idle time is
+/// skipped outright. Every step commits (horizon `Time::MAX`).
+pub struct Simulator<'w, S: CacheStrategy> {
+    workload: &'w Workload,
+    engine: Engine<S>,
+}
+
+impl<'w, S: CacheStrategy> Simulator<'w, S> {
+    /// Create a simulator; calls the strategy's [`CacheStrategy::begin`].
+    pub fn new(workload: &'w Workload, cfg: SimConfig, strategy: S) -> Result<Self, SimError> {
+        Simulator::with_capacity(
+            workload,
+            cfg,
+            CapacitySchedule::fixed(cfg.cache_size),
+            strategy,
+        )
+    }
+
+    /// Create a simulator whose cache capacity follows `capacity`. The
+    /// schedule's initial capacity must equal `cfg.cache_size` and its
+    /// minimum must stay at or above the core count; the cache is
+    /// allocated at the schedule's maximum and its limit moved at each
+    /// change. [`CapacitySchedule::fixed`]`(cfg.cache_size)` reproduces
+    /// [`Simulator::new`] exactly.
+    pub fn with_capacity(
+        workload: &'w Workload,
+        cfg: SimConfig,
+        capacity: CapacitySchedule,
+        strategy: S,
+    ) -> Result<Self, SimError> {
+        Ok(Simulator {
+            workload,
+            engine: Engine::new(workload, cfg, capacity, strategy)?,
+        })
+    }
+
+    /// The shared cache, for inspection between steps.
+    pub fn cache(&self) -> &Cache {
+        &self.engine.cache
+    }
+
+    /// Next request index of each core.
+    pub fn positions(&self) -> &[usize] {
+        &self.engine.pos
+    }
+
+    /// Time at which each core's next request issues.
+    pub fn ready_times(&self) -> &[Time] {
+        &self.engine.ready
+    }
+
+    /// `true` once every sequence has been fully served.
+    pub fn finished(&self) -> bool {
+        self.engine
+            .pos
+            .iter()
+            .zip(self.workload.sequences())
+            .all(|(&pos, seq)| pos >= seq.len())
+    }
+
+    /// Serve one timestep (the next time at which any request is due).
+    /// Returns `Ok(None)` when every sequence is finished.
+    pub fn step(&mut self) -> Result<Option<StepReport>, SimError> {
+        match self
+            .engine
+            .step::<true>(self.workload.sequences(), Time::MAX)?
+        {
+            None => Ok(None),
+            Some(t) => Ok(Some(StepReport {
+                time: t,
+                voluntary: std::mem::take(&mut self.engine.voluntary_buf),
+                served: std::mem::take(&mut self.engine.served_buf),
+            })),
+        }
+    }
+
+    /// Run to completion and return the aggregate result, without
+    /// recording a per-step trace.
+    pub fn run(mut self) -> Result<SimResult, SimError> {
+        let log = self.workload.sequences();
+        while self.engine.step::<false>(log, Time::MAX)?.is_some() {}
+        Ok(self.engine.into_result())
+    }
+
+    /// Run to completion, additionally collecting every [`StepReport`]
+    /// (one per non-empty timestep) — the full event trace.
+    pub fn run_with_trace(mut self) -> Result<(SimResult, Vec<StepReport>), SimError> {
+        let mut trace = Vec::new();
+        while let Some(report) = self.step()? {
+            trace.push(report);
+        }
+        Ok((self.engine.into_result(), trace))
+    }
+}
+
 /// Apply every capacity change due at `t` and evict down to the limit —
-/// the per-step capacity transition shared verbatim by the event engine,
-/// the tick engine, and the online engine (the oracle crate's naive
+/// the per-step capacity transition shared verbatim by the event engine
+/// (offline and online) and the tick engine (the oracle crate's naive
 /// reference re-implements it independently, as it does every rule).
 ///
 /// Ordering within the step: the limit moves and

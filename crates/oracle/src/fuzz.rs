@@ -2,7 +2,11 @@
 //! `mcp-workloads`, three engines compared over every strategy family —
 //! the event engine ([`mcp_core::Simulator`]), the scan-based tick engine
 //! ([`mcp_core::TickSimulator`], with full `StepReport`-trace equality
-//! between those two), and the naive tick-by-tick reference — plus
+//! between those two), and the naive tick-by-tick reference — with an
+//! online leg for every family `mcp serve` accepts (the instance pushed
+//! through [`OnlineSimulator`] under a seeded push/advance/close
+//! interleaving, its finished result diffed against the event engine's),
+//! plus
 //! metamorphic invariants from the paper's lemmas and exhaustive-oracle
 //! cross-checks of the offline dynamic programs — all on
 //! `mcp_exec::par_try_map`, so a diverging instance panics inside the
@@ -19,14 +23,14 @@ use crate::exhaustive::{
 use crate::instance::{build_family, family_applicable, Fixture, Instance, FAMILIES};
 use crate::reference::reference_simulate_with_capacity;
 use mcp_core::{
-    simulate, simulate_with_capacity, CapacitySchedule, SimConfig, SimError, SimResult, Simulator,
-    StepReport, TickSimulator, Time, Workload,
+    simulate, simulate_with_capacity, CapacitySchedule, OnlineSimulator, SimConfig, SimError,
+    SimResult, Simulator, StepReport, TickSimulator, Time, Workload,
 };
 use mcp_exec::{derive_seed, Pool};
 use mcp_offline::{
     ftf_min_faults, lru_faults, pif_decide, sched_min, DpError, Objective, PifOptions,
 };
-use mcp_policies::{shared_lru, static_partition_lru, LruMimicPartition, Partition};
+use mcp_policies::{shared_lru, static_partition_lru, LruMimicPartition, Partition, OFFLINE_ONLY};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -347,19 +351,75 @@ type Run = Result<SimResult, SimError>;
 /// A traced run: the aggregate result plus the full step trace.
 type Traced = Result<(SimResult, Vec<StepReport>), SimError>;
 
-fn run_three(family: &str, instance: &Instance, seed: u64) -> (Traced, Traced, Run) {
+/// Every engine's run of one instance under one family.
+struct Runs {
+    event: Traced,
+    tick: Traced,
+    reference: Run,
+    /// `None` for the offline-only families `mcp serve` rejects.
+    online: Option<Run>,
+}
+
+fn run_all(family: &str, instance: &Instance, seed: u64) -> Runs {
     let strategy = || build_family(family, instance, seed).expect("family known");
     // Always through the capacity-aware constructors: `Fixed(K)` is
     // bit-identical to the plain paths by construction, and capacity
-    // instances exercise the shrink machinery of all three engines.
+    // instances exercise the shrink machinery of every engine.
     let cap = || instance.capacity.clone();
-    let event = Simulator::with_capacity(&instance.workload, instance.cfg, cap(), strategy())
-        .and_then(|s| s.run_with_trace());
-    let tick = TickSimulator::with_capacity(&instance.workload, instance.cfg, cap(), strategy())
-        .and_then(|s| s.run_with_trace());
-    let reference =
-        reference_simulate_with_capacity(&instance.workload, instance.cfg, cap(), strategy());
-    (event, tick, reference)
+    Runs {
+        event: Simulator::with_capacity(&instance.workload, instance.cfg, cap(), strategy())
+            .and_then(|s| s.run_with_trace()),
+        tick: TickSimulator::with_capacity(&instance.workload, instance.cfg, cap(), strategy())
+            .and_then(|s| s.run_with_trace()),
+        reference: reference_simulate_with_capacity(
+            &instance.workload,
+            instance.cfg,
+            cap(),
+            strategy(),
+        ),
+        online: (!OFFLINE_ONLY.contains(&family)).then(|| run_online(family, instance, seed)),
+    }
+}
+
+/// Serve `instance` through [`OnlineSimulator`] the way `mcp serve` does
+/// (the strategy built against `p` empty sequences) under a seeded
+/// interleaving of bursts of pushes, advances and per-core closes; once
+/// every core is closed, drain and return the finished result.
+fn run_online(family: &str, instance: &Instance, seed: u64) -> Run {
+    let w = &instance.workload;
+    let p = w.num_cores();
+    let empty = Workload::new(vec![Vec::new(); p])?;
+    let strategy =
+        mcp_policies::build_family(family, &empty, instance.cfg, seed).expect("family known");
+    let mut engine =
+        OnlineSimulator::with_capacity(p, instance.cfg, instance.capacity.clone(), strategy)?;
+    let mut cursor = vec![0usize; p];
+    for draw in 0.. {
+        let open: Vec<usize> = (0..p).filter(|&j| !engine.is_closed(j)).collect();
+        if open.is_empty() {
+            break;
+        }
+        let r = derive_seed(seed, 0x0411_0000 + draw);
+        let j = open[(r % open.len() as u64) as usize];
+        match (r >> 8) % 8 {
+            0..=4 => {
+                for _ in 0..1 + (r >> 16) % 3 {
+                    let Some(&page) = w.sequence(j).get(cursor[j]) else {
+                        break;
+                    };
+                    engine.push(j, page).expect("core is open");
+                    cursor[j] += 1;
+                }
+            }
+            5 | 6 => {
+                engine.advance()?;
+            }
+            _ if cursor[j] == w.len(j) => engine.close(j).expect("core exists"),
+            _ => {}
+        }
+    }
+    engine.advance()?;
+    Ok(engine.finish().0)
 }
 
 /// `Some(description)` iff the `mcp-batch` engine disagrees with the
@@ -400,23 +460,30 @@ fn batch_diverges(family: &str, instance: &Instance, seed: u64) -> Option<String
     }
 }
 
-/// `Some(description)` iff any pair of the three engines disagrees on this
+/// `Some(description)` iff any pair of the engines disagrees on this
 /// instance under this family: the event and tick engines must agree on
 /// the aggregate result *and* the full step trace, and both must agree
-/// with the reference on the result. A panic *inside* an engine (e.g. the
-/// reference engine's shadow cross-check) is also a divergence.
+/// with the reference and (for online-safe families) the online leg on
+/// the result. A panic *inside* an engine (e.g. the reference engine's
+/// shadow cross-check) is also a divergence.
 fn diverges(family: &str, instance: &Instance, seed: u64) -> Option<String> {
-    match panic::catch_unwind(AssertUnwindSafe(|| run_three(family, instance, seed))) {
-        Ok((event, tick, reference)) => {
-            let agree = match (&event, &tick, &reference) {
+    match panic::catch_unwind(AssertUnwindSafe(|| run_all(family, instance, seed))) {
+        Ok(runs) => {
+            let agree = match (&runs.event, &runs.tick, &runs.reference) {
                 (Ok((er, et)), Ok((tr, tt)), Ok(rr)) => er == tr && er == rr && et == tt,
                 (Err(a), Err(b), Err(c)) => a == b && a == c,
                 _ => false,
             };
-            if agree {
+            let online_agrees = match (&runs.event, &runs.online) {
+                (_, None) => true,
+                (Ok((er, _)), Some(Ok(or))) => er == or,
+                (Err(a), Some(Err(b))) => a == b,
+                _ => false,
+            };
+            if agree && online_agrees {
                 None
             } else {
-                Some(describe(&event, &tick, &reference))
+                Some(describe(&runs))
             }
         }
         Err(payload) => {
@@ -430,7 +497,7 @@ fn diverges(family: &str, instance: &Instance, seed: u64) -> Option<String> {
     }
 }
 
-fn describe(event: &Traced, tick: &Traced, reference: &Run) -> String {
+fn describe(runs: &Runs) -> String {
     fn result(r: &SimResult) -> String {
         format!(
             "faults={:?} hits={:?} makespan={} fault_times={:?}",
@@ -443,16 +510,22 @@ fn describe(event: &Traced, tick: &Traced, reference: &Run) -> String {
             Err(e) => format!("error: {e:?}"),
         }
     }
-    let mut out = format!(
-        "  event:     {}\n  tick:      {}\n  reference: {}",
-        traced(event),
-        traced(tick),
-        match reference {
+    fn run(r: &Run) -> String {
+        match r {
             Ok(res) => result(res),
             Err(e) => format!("error: {e:?}"),
         }
+    }
+    let mut out = format!(
+        "  event:     {}\n  tick:      {}\n  reference: {}",
+        traced(&runs.event),
+        traced(&runs.tick),
+        run(&runs.reference)
     );
-    if let (Ok((_, et)), Ok((_, tt))) = (event, tick) {
+    if let Some(online) = &runs.online {
+        out.push_str(&format!("\n  online:    {}", run(online)));
+    }
+    if let (Ok((_, et)), Ok((_, tt))) = (&runs.event, &runs.tick) {
         if let Some(i) = (0..et.len().max(tt.len())).find(|&i| et.get(i) != tt.get(i)) {
             out.push_str(&format!(
                 "\n  first trace mismatch at step {i}:\n    event: {:?}\n    tick:  {:?}",
@@ -773,6 +846,22 @@ mod tests {
         assert!(report.comparisons >= 8 * (FAMILIES.len() as u64 - 1));
         assert!(report.metamorphic_checks > 0);
         assert!(report.dp_checks > 0);
+    }
+
+    #[test]
+    fn online_leg_runs_for_every_family_serve_accepts() {
+        let instance = generate(1, derive_seed(0x0411, 1), FuzzProfile::Capacity);
+        assert!(!instance.capacity.is_fixed());
+        for (f, family) in FAMILIES.iter().enumerate() {
+            if !family_applicable(family, &instance) {
+                continue;
+            }
+            let runs = run_all(family, &instance, derive_seed(7, f as u64));
+            match runs.online {
+                None => assert!(OFFLINE_ONLY.contains(family), "{family}"),
+                Some(online) => assert_eq!(online.unwrap(), runs.event.unwrap().0, "{family}"),
+            }
+        }
     }
 
     #[test]

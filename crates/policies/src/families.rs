@@ -34,6 +34,12 @@ pub const FAMILIES: &[&str] = &[
     "sacrifice",
 ];
 
+/// The families whose [`CacheStrategy::begin`] reads the full request
+/// sequences: they cannot serve a live stream, where `begin` sees empty
+/// ones (`mcp_core::online` module docs). Every other family in
+/// [`FAMILIES`] is online-safe.
+pub const OFFLINE_ONLY: &[&str] = &["fitf", "mimic", "partition-opt", "sacrifice"];
+
 /// Build a fresh strategy of family `name` for `workload` under `cfg`
 /// (each engine run needs its own instance — strategies are stateful).
 /// Returns `None` for unknown names. `seed` drives the randomized
@@ -87,6 +93,13 @@ mod tests {
             assert_eq!(r.total_faults() + r.total_hits(), 6, "{family}");
         }
         assert!(build_family("nope", &w, cfg, 0).is_none());
+    }
+
+    #[test]
+    fn offline_only_names_are_registered_families() {
+        for family in OFFLINE_ONLY {
+            assert!(FAMILIES.contains(family), "{family}");
+        }
     }
 
     #[test]
