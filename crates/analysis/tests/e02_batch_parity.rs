@@ -9,6 +9,7 @@ fn batch_and_per_run_reports_are_byte_equal_at_every_jobs_level() {
     let reference = E02::run_with(Scale::Quick, E02Engine::PerRun).to_json();
     for jobs in [1usize, 2, 4] {
         mcp_exec::set_jobs(Some(jobs));
+        assert_eq!(mcp_exec::resolved_jobs(), jobs);
         let per_run = E02::run_with(Scale::Quick, E02Engine::PerRun).to_json();
         let batch = E02::run_with(Scale::Quick, E02Engine::Batch).to_json();
         assert_eq!(per_run, reference, "per-run path drifted at jobs={jobs}");

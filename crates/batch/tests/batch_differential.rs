@@ -128,6 +128,7 @@ fn results_are_bit_identical_at_every_jobs_level() {
     let mut baseline = None;
     for jobs in [1usize, 2, 4] {
         mcp_exec::set_jobs(Some(jobs));
+        assert_eq!(mcp_exec::resolved_jobs(), jobs);
         let got = run_cells(&workloads, &cells);
         match &baseline {
             None => baseline = Some(got),

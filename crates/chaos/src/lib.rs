@@ -8,14 +8,17 @@
 //!
 //! ## Model
 //!
-//! A [`FaultPlan`] is armed process-wide ([`arm`]/[`disarm`]). Injection
+//! A [`FaultPlan`] is armed on the calling thread ([`arm_scoped`], or
+//! [`arm_from_env`] at a binary's startup), and `mcp_exec` pool workers
+//! inherit their caller's plan, so an armed section never leaks into
+//! threads it did not fan out to. Injection
 //! sites call [`write_fault`], [`read_fault`] or [`task_fault`] with a
 //! `(site, index, attempt)` coordinate; the decision is a pure splitmix64
 //! hash of the plan seed and that coordinate — exactly the
 //! `mcp_exec::derive_seed` discipline — so a fault fires at the same
 //! logical operation regardless of worker count, interleaving, or wall
-//! clock. When no plan is armed every probe is a single relaxed atomic
-//! load returning `None` (zero-cost in production).
+//! clock. When no plan is armed every probe is a single thread-local
+//! read returning `None` (zero-cost in production).
 //!
 //! ## The bounded-adversary guarantee
 //!
@@ -30,15 +33,15 @@
 
 pub mod io;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock};
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::time::Duration;
 
 /// Prefix of every panic message raised by [`task_point`]; lets harnesses
 /// distinguish injected panics from genuine ones.
 pub const INJECTED_PANIC_PREFIX: &str = "mcp-chaos injected panic";
 
-/// A seeded, process-wide fault-injection plan. Rates are per-mille
+/// A seeded fault-injection plan, armed per thread. Rates are per-mille
 /// (1000 = always); the same plan produces the same fault sequence at
 /// every `--jobs` level because decisions are keyed on logical
 /// `(site, index, attempt)` coordinates, never on threads or time.
@@ -183,72 +186,60 @@ pub enum TaskFault {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide arming
+// Per-thread arming
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static PLAN: RwLock<Option<FaultPlan>> = RwLock::new(None);
-/// Serializes armed sections across threads of one process: tests and the
-/// torture harness hold this (via [`arm_scoped`]) so concurrent tests
-/// never observe each other's plans.
-static ARM_LOCK: Mutex<()> = Mutex::new(());
+thread_local! {
+    /// The plan armed on this thread. `mcp_exec` pool workers start with
+    /// a copy of their caller's plan, so a fan-out sees what its caller
+    /// armed and no other thread does.
+    static PLAN: Cell<Option<FaultPlan>> = const { Cell::new(None) };
+}
 
-/// Is any fault plan armed? Single relaxed atomic load — the fast path
-/// every injection probe takes first.
+/// Is a fault plan armed on this thread?
 #[inline]
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+    current_plan().is_some()
 }
 
-/// Arm `plan` process-wide. Prefer [`arm_scoped`] in tests.
-pub fn arm(plan: FaultPlan) {
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(plan);
-    ARMED.store(true, Ordering::SeqCst);
-}
-
-/// Disarm: every probe returns `None` again.
-pub fn disarm() {
-    ARMED.store(false, Ordering::SeqCst);
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
-/// The currently armed plan, if any.
+/// The plan armed on this thread, if any. A single thread-local read —
+/// the fast path every injection probe takes first.
+#[inline]
 pub fn current_plan() -> Option<FaultPlan> {
-    if !armed() {
-        return None;
-    }
-    *PLAN.read().unwrap_or_else(|e| e.into_inner())
+    PLAN.with(Cell::get)
 }
 
-/// RAII guard from [`arm_scoped`]: disarms on drop and holds the global
-/// arm lock for its lifetime.
+/// RAII guard from [`arm_scoped`]: restores the thread's previous plan
+/// (or none) on drop. Not `Send`: it must drop on the thread it armed.
 pub struct ArmGuard {
-    _lock: MutexGuard<'static, ()>,
+    previous: Option<FaultPlan>,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for ArmGuard {
     fn drop(&mut self) {
-        disarm();
+        PLAN.with(|p| p.set(self.previous));
     }
 }
 
-/// Arm `plan` for a lexical scope: takes the global arm lock (so
-/// concurrently running tests serialize instead of cross-contaminating),
-/// arms, and disarms when the guard drops.
+/// Arm `plan` on the calling thread for a lexical scope. Nested guards
+/// restore the outer plan when they drop; other threads never see it
+/// (except pool workers the caller fans out to).
 pub fn arm_scoped(plan: FaultPlan) -> ArmGuard {
-    let lock = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    arm(plan);
-    ArmGuard { _lock: lock }
+    ArmGuard {
+        previous: PLAN.with(|p| p.replace(Some(plan))),
+        _not_send: PhantomData,
+    }
 }
 
-/// Arm from the `MCP_CHAOS` environment variable (format:
-/// [`FaultPlan::parse`]) if it is set and valid. Returns the armed plan.
-/// Binaries call this at startup so end-to-end tests can inject faults
-/// into a spawned process.
+/// Arm the calling thread for its lifetime from the `MCP_CHAOS`
+/// environment variable (format: [`FaultPlan::parse`]) if it is set and
+/// valid. Returns the armed plan. Binaries call this at the start of
+/// `main` so end-to-end tests can inject faults into a spawned process.
 pub fn arm_from_env() -> Option<FaultPlan> {
     let spec = std::env::var("MCP_CHAOS").ok()?;
     match FaultPlan::parse(&spec) {
         Ok(plan) => {
-            arm(plan);
+            PLAN.with(|p| p.set(Some(plan)));
             Some(plan)
         }
         Err(e) => {
@@ -332,9 +323,12 @@ pub fn read_fault(site: &str, index: u64, attempt: u32) -> Option<ReadFault> {
 
 /// Should the `attempt`-th try of task `index` at `site` fault, and how?
 pub fn task_fault(site: &str, index: u64, attempt: u32) -> Option<TaskFault> {
-    let plan = current_plan()?;
-    let h = decision(&plan, 3, site, index, attempt);
-    if !fires(h, plan.task_per_mille, attempt, &plan) {
+    task_decision(&current_plan()?, site, index, attempt)
+}
+
+fn task_decision(plan: &FaultPlan, site: &str, index: u64, attempt: u32) -> Option<TaskFault> {
+    let h = decision(plan, 3, site, index, attempt);
+    if !fires(h, plan.task_per_mille, attempt, plan) {
         return None;
     }
     Some(match (h >> 10) % 2 {
@@ -351,10 +345,10 @@ pub fn task_fault(site: &str, index: u64, attempt: u32) -> Option<TaskFault> {
 /// `max_consecutive` attempts.
 #[inline]
 pub fn task_point(site: &str, index: u64, attempt: u32) {
-    if !armed() {
+    let Some(plan) = current_plan() else {
         return;
-    }
-    match task_fault(site, index, attempt) {
+    };
+    match task_decision(&plan, site, index, attempt) {
         None => {}
         Some(TaskFault::Stall(d)) => std::thread::sleep(d),
         Some(TaskFault::Panic) => {
@@ -379,6 +373,38 @@ mod tests {
         assert!(read_fault("t", 0, 0).is_none());
         assert!(task_fault("t", 0, 0).is_none());
         task_point("t", 0, 0); // must be a no-op, not a panic
+    }
+
+    #[test]
+    fn a_plan_armed_on_one_thread_is_invisible_to_another() {
+        let plan = FaultPlan {
+            task_per_mille: 1000,
+            ..FaultPlan::seeded(0xA1)
+        };
+        let _guard = arm_scoped(plan);
+        assert_eq!(current_plan(), Some(plan));
+        let seen = std::thread::spawn(|| (armed(), current_plan(), task_fault("t", 0, 0)))
+            .join()
+            .unwrap();
+        assert_eq!(seen, (false, None, None));
+    }
+
+    #[test]
+    fn nested_arm_scoped_restores_the_outer_plan() {
+        let outer = FaultPlan::seeded(1);
+        let inner = FaultPlan::write_crash(2);
+        let guard = arm_scoped(outer);
+        {
+            let _inner = arm_scoped(inner);
+            assert_eq!(current_plan(), Some(inner));
+        }
+        assert_eq!(
+            current_plan(),
+            Some(outer),
+            "inner guard restores the outer plan"
+        );
+        drop(guard);
+        assert_eq!(current_plan(), None);
     }
 
     #[test]

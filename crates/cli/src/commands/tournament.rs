@@ -287,6 +287,7 @@ mod tests {
         assert!(reference.starts_with('{'), "{reference}");
         for jobs in [1usize, 2, 4] {
             mcp_exec::set_jobs(Some(jobs));
+            assert_eq!(mcp_exec::resolved_jobs(), jobs);
             assert_eq!(tournament(&line).unwrap(), reference, "jobs={jobs}");
         }
         mcp_exec::set_jobs(None);

@@ -20,9 +20,14 @@
 //!   `(master, index)`, so randomized tasks produce the same stream no
 //!   matter which worker runs them.
 //! * The pool size resolves from, in priority order: an explicit
-//!   [`Pool::new`], the process-wide [`set_jobs`] (the `--jobs` flag of
-//!   the binaries), the `MCP_JOBS` environment variable, and finally
+//!   [`Pool::new`], the calling thread's [`set_jobs`] (the `--jobs` flag
+//!   of the binaries), the `MCP_JOBS` environment variable, and finally
 //!   [`std::thread::available_parallelism`].
+//!
+//! Ambient configuration — the [`set_jobs`] override and the
+//! `mcp_chaos` fault plan — belongs to the thread that sets it, and
+//! pool workers inherit their caller's. Concurrent callers (tests
+//! running side by side) never see each other's settings.
 //!
 //! Nesting rule: a `par_map` issued from *inside* a pool worker runs
 //! sequentially on that worker (depth-1 parallelism). The top-level
@@ -94,31 +99,27 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Unset sentinel for the process-wide jobs override.
-const JOBS_UNSET: usize = 0;
-
-/// Process-wide jobs override (0 = unset). Set once by binaries from
-/// `--jobs`; read by [`Pool::global`].
-static GLOBAL_JOBS: AtomicUsize = AtomicUsize::new(JOBS_UNSET);
-
 thread_local! {
     /// Whether the current thread is a pool worker (depth-1 guard).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// This thread's jobs override, set by [`set_jobs`]; pool workers
+    /// inherit their caller's.
+    static JOBS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Set the process-wide worker count used by [`Pool::global`] (the
-/// `--jobs N` flag). `None` clears the override back to the
+/// Set the calling thread's worker count used by [`Pool::global`] (the
+/// `--jobs N` flag, set on `main`). Pool workers inherit it; other
+/// threads do not see it. `None` clears the override back to the
 /// `MCP_JOBS`-or-hardware default.
 pub fn set_jobs(jobs: Option<usize>) {
-    GLOBAL_JOBS.store(jobs.unwrap_or(JOBS_UNSET), Ordering::Relaxed);
+    JOBS.with(|j| j.set(jobs));
 }
 
 /// Resolve the effective worker count: [`set_jobs`] override, then the
 /// `MCP_JOBS` environment variable, then the hardware parallelism.
 /// Always at least 1.
 pub fn resolved_jobs() -> usize {
-    let explicit = GLOBAL_JOBS.load(Ordering::Relaxed);
-    if explicit != JOBS_UNSET {
+    if let Some(explicit) = JOBS.with(Cell::get) {
         return explicit.max(1);
     }
     if let Ok(v) = std::env::var("MCP_JOBS") {
@@ -159,7 +160,7 @@ impl Pool {
         Pool { jobs: jobs.max(1) }
     }
 
-    /// The pool configured for this process (see [`resolved_jobs`]).
+    /// The pool configured for this thread (see [`resolved_jobs`]).
     pub fn global() -> Self {
         Pool::new(resolved_jobs())
     }
@@ -218,6 +219,9 @@ impl Pool {
 
         let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
+        // Workers run under the caller's ambient configuration.
+        let plan = mcp_chaos::current_plan();
+        let jobs = JOBS.with(Cell::get);
         let panic = std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
@@ -225,6 +229,8 @@ impl Pool {
                 let f = &f;
                 scope.spawn(move || {
                     IN_WORKER.with(|w| w.set(true));
+                    JOBS.with(|j| j.set(jobs));
+                    let _chaos = plan.map(mcp_chaos::arm_scoped);
                     // On panic the sender drops, the receive loop below
                     // comes up short, and join propagates the payload.
                     loop {
@@ -625,6 +631,48 @@ mod tests {
                 assert_eq!(v, 2 * i as u32);
             }
         }
+    }
+
+    #[test]
+    fn workers_draw_exactly_the_callers_task_faults() {
+        let plan = mcp_chaos::FaultPlan {
+            task_per_mille: 500,
+            ..mcp_chaos::FaultPlan::seeded(0xC0DE)
+        };
+        let items: Vec<u64> = (0..64).collect();
+        let draw = |jobs: usize| {
+            Pool::new(jobs).par_map(&items, |_, &i| mcp_chaos::task_fault("test.inherit", i, 0))
+        };
+        let _guard = mcp_chaos::arm_scoped(plan);
+        let want = draw(1);
+        assert!(
+            want.iter().any(Option::is_some),
+            "the plan must fire somewhere"
+        );
+        for jobs in [2, 4] {
+            assert_eq!(draw(jobs), want, "jobs={jobs}");
+        }
+        std::thread::scope(|s| {
+            let unarmed = s.spawn(|| draw(4)).join().unwrap();
+            assert!(unarmed.iter().all(Option::is_none), "{unarmed:?}");
+        });
+    }
+
+    #[test]
+    fn set_jobs_is_scoped_to_the_calling_thread() {
+        let before = resolved_jobs();
+        let elsewhere = std::thread::spawn(resolved_jobs).join().unwrap();
+        set_jobs(Some(before + 7));
+        assert_eq!(resolved_jobs(), before + 7);
+        assert_eq!(std::thread::spawn(resolved_jobs).join().unwrap(), elsewhere);
+        let in_workers = Pool::new(2).par_map(&[0u8; 4], |_, _| resolved_jobs());
+        assert_eq!(
+            in_workers,
+            vec![before + 7; 4],
+            "workers inherit the override"
+        );
+        set_jobs(None);
+        assert_eq!(resolved_jobs(), before);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct FtfOptions {
     pub prune: bool,
     /// Abort with [`DpError::TooLarge`] beyond this many states.
     pub max_states: usize,
-    /// Worker threads for successor expansion (0 = the process-wide
+    /// Worker threads for successor expansion (0 = the calling thread's
     /// setting, see [`mcp_exec::resolved_jobs`]). Any value yields the
     /// same result, states count included.
     pub jobs: usize,

@@ -59,4 +59,4 @@ pub use search::{
     brute_force_min_faults_governed, brute_force_min_makespan, fitf_restricted_min_faults,
     Objective, SearchOutcome,
 };
-pub use state::{min_parallel_tasks, DpError, DpInstance, DpStats};
+pub use state::{DpError, DpInstance, DpStats, MIN_PARALLEL_TASKS};

@@ -38,8 +38,8 @@ pub struct PifOptions {
     /// Abort with [`DpError::TooLarge`] beyond this many state-vector
     /// expansions.
     pub max_expansions: usize,
-    /// Worker threads for layer expansion (0 = the process-wide setting,
-    /// see [`mcp_exec::resolved_jobs`]). Any value yields the same result.
+    /// Worker threads for layer expansion (0 = the calling thread's
+    /// setting, see [`mcp_exec::resolved_jobs`]). Any value yields the same result.
     pub jobs: usize,
     /// Force the state arena onto its spilled (unpacked) representation
     /// even when the instance fits the inline `u128` packing. Testing

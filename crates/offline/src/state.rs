@@ -12,33 +12,19 @@
 use mcp_core::{PageId, SimConfig, Time, Workload};
 use std::fmt;
 
-/// The sequential-fallback threshold for [`pool_for`]: layers with fewer
+/// The sequential-fallback threshold of the DP layer pool: layers with fewer
 /// tasks than this stay on the calling thread (the scoped-thread round
-/// trip costs more than the expansion itself on tiny layers).
-///
-/// The default of 32 was tuned for the boxed state engine; the packed
-/// engine's expansions are an order of magnitude cheaper, so mid-size
-/// layers may still not amortize the pool. Override per process with the
-/// `MCP_MIN_PARALLEL_TASKS` environment variable (read once, cached; an
-/// unset or unparsable value keeps the default; `0` forces every batch
-/// onto the pool). The threshold never affects results — expansions
-/// merge in canonical order either way.
-pub fn min_parallel_tasks() -> usize {
-    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("MCP_MIN_PARALLEL_TASKS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(32)
-    })
-}
+/// trip costs more than the expansion itself on tiny layers). The
+/// threshold never affects results — expansions merge in canonical
+/// order either way.
+pub const MIN_PARALLEL_TASKS: usize = 32;
 
 /// The pool both DPs expand layers on: `jobs == 0` defers to the
-/// process-wide setting, and batches smaller than
-/// [`min_parallel_tasks`] stay sequential. The choice never affects
+/// calling thread's setting, and batches smaller than
+/// [`MIN_PARALLEL_TASKS`] stay sequential. The choice never affects
 /// results — expansions are merged in canonical order either way.
 pub(crate) fn pool_for(jobs: usize, tasks: usize) -> mcp_exec::Pool {
-    if tasks < min_parallel_tasks() {
+    if tasks < MIN_PARALLEL_TASKS {
         mcp_exec::Pool::new(1)
     } else if jobs == 0 {
         mcp_exec::Pool::global()

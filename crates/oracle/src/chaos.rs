@@ -209,9 +209,10 @@ fn parse<T>(
     })
 }
 
-/// Run the torture harness. Instances run sequentially (each stage arms
-/// a process-global fault plan); the parallelism under test is inside
-/// each solver call via its `jobs` option.
+/// Run the torture harness. Instances run sequentially on the calling
+/// thread, which each stage arms with its own fault plan (the solver's
+/// pool workers inherit it); the parallelism under test is inside each
+/// solver call via its `jobs` option.
 pub fn run_torture(options: &ChaosOptions) -> ChaosReport {
     let mut report = ChaosReport {
         instances: options.instances,

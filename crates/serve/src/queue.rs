@@ -60,7 +60,8 @@ struct Shared {
     discipline: Discipline,
     cores: usize,
     rings: Vec<Ring>,
-    offered: AtomicU64,
+    // `offered` is not stored: it is `admitted + dropped` by definition,
+    // so a snapshot taken mid-offer still conserves exactly.
     admitted: AtomicU64,
     dropped: AtomicU64,
     /// Drops attributed per ring (queue-full only; unroutable cores have
@@ -113,7 +114,6 @@ impl QueueSet {
             discipline,
             cores,
             rings: (0..nrings).map(|_| Ring::new(depth)).collect(),
-            offered: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             ring_dropped: (0..nrings).map(|_| AtomicU64::new(0)).collect(),
@@ -158,7 +158,6 @@ impl QueueSet {
     /// dropped (full queue, unroutable core, or core already closed).
     pub fn offer(&self, core: u32, page: u32) -> bool {
         let s = &*self.inner;
-        s.offered.fetch_add(1, Ordering::Relaxed);
         let Some(ring) = self.ring_of(core) else {
             s.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -189,7 +188,6 @@ impl QueueSet {
     pub fn offer_blocking(&self, core: u32, page: u32, stop: &AtomicBool) -> bool {
         let s = &*self.inner;
         let Some(ring) = self.ring_of(core) else {
-            s.offered.fetch_add(1, Ordering::Relaxed);
             s.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         };
@@ -199,12 +197,10 @@ impl QueueSet {
                 || (s.discipline == Discipline::Dfcfs
                     && s.closed[core as usize].load(Ordering::Acquire))
             {
-                s.offered.fetch_add(1, Ordering::Relaxed);
                 s.dropped.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
             if s.rings[ring].try_push(Msg::Req { core, page }).is_ok() {
-                s.offered.fetch_add(1, Ordering::Relaxed);
                 s.admitted.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
@@ -276,10 +272,12 @@ impl QueueSet {
     /// Current counter values.
     pub fn totals(&self) -> QueueTotals {
         let s = &*self.inner;
+        let admitted = s.admitted.load(Ordering::Relaxed);
+        let dropped = s.dropped.load(Ordering::Relaxed);
         QueueTotals {
-            offered: s.offered.load(Ordering::Relaxed),
-            admitted: s.admitted.load(Ordering::Relaxed),
-            dropped: s.dropped.load(Ordering::Relaxed),
+            offered: admitted + dropped,
+            admitted,
+            dropped,
             ring_dropped: s
                 .ring_dropped
                 .iter()
@@ -352,6 +350,24 @@ mod tests {
         c.drain(usize::MAX, |_| n += 1);
         assert_eq!(n as u64, t.admitted);
         assert!(q.offer(0, 1));
+    }
+
+    #[test]
+    fn snapshots_conserve_exactly_while_a_producer_offers() {
+        let (q, _c) = QueueSet::new(Discipline::Dfcfs, 2, 64);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..200_000u32 {
+                    q.offer(i % 3, i); // core 2 is unroutable
+                }
+                done.store(true, Ordering::Release);
+            });
+            while !done.load(Ordering::Acquire) {
+                let t = q.totals();
+                assert_eq!(t.offered, t.admitted + t.dropped, "{t:?}");
+            }
+        });
     }
 
     #[test]
